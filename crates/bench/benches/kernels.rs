@@ -14,10 +14,9 @@ use hanayo_core::config::{PipelineConfig, Scheme};
 use hanayo_core::schedule::build_schedule;
 use hanayo_model::{CostTable, ModelConfig};
 use hanayo_sim::{
-    compile_schedule, set_reference_engine, try_simulate, try_simulate_compiled, SimOptions,
+    compile_schedule, simulate_reference, try_simulate, try_simulate_compiled, SimOptions,
 };
 use hanayo_tensor::rng::{seeded, uniform};
-use hanayo_tensor::tensor::set_reference_kernels;
 use hanayo_tensor::Tensor;
 
 fn dense(rows: usize, cols: usize, seed: u64) -> Tensor {
@@ -28,21 +27,17 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("gemm_kernels");
     let a = dense(64, 64, 1);
     let b = dense(64, 64, 2);
-    g.bench_function("blocked_64x64x64", |bch| b64(bch, &a, &b, false));
-    g.bench_function("reference_64x64x64", |bch| b64(bch, &a, &b, true));
+    g.bench_function("blocked_64x64x64", |bch| bch.iter(|| black_box(a.matmul(&b))));
+    g.bench_function("reference_64x64x64", |bch| bch.iter(|| black_box(a.matmul_reference(&b))));
 
     // The satellite-bug shape: heavy reduction behind a tiny output.
     let deep_a = dense(4, 4096, 3);
     let deep_b = dense(4096, 4, 4);
-    g.bench_function("blocked_4x4096x4", |bch| b64(bch, &deep_a, &deep_b, false));
-    g.bench_function("reference_4x4096x4", |bch| b64(bch, &deep_a, &deep_b, true));
+    g.bench_function("blocked_4x4096x4", |bch| bch.iter(|| black_box(deep_a.matmul(&deep_b))));
+    g.bench_function("reference_4x4096x4", |bch| {
+        bch.iter(|| black_box(deep_a.matmul_reference(&deep_b)))
+    });
     g.finish();
-
-    fn b64(bch: &mut criterion::Bencher, a: &Tensor, b: &Tensor, reference: bool) {
-        set_reference_kernels(reference);
-        bch.iter(|| black_box(a.matmul(b)));
-        set_reference_kernels(false);
-    }
 }
 
 fn bench_fused_kernels(c: &mut Criterion) {
@@ -78,9 +73,7 @@ fn bench_sim_paths(c: &mut Criterion) {
     let opts = SimOptions::default();
     let compiled = compile_schedule(&schedule, &opts);
     g.bench_function("seed_engine_hanayo_w2_p8_b16", |bch| {
-        set_reference_engine(true);
-        bch.iter(|| black_box(try_simulate(&schedule, &cost, &cluster, opts).unwrap()));
-        set_reference_engine(false);
+        bch.iter(|| black_box(simulate_reference(&schedule, &cost, &cluster, opts)))
     });
     g.bench_function("fast_engine_hanayo_w2_p8_b16", |bch| {
         bch.iter(|| black_box(try_simulate(&schedule, &cost, &cluster, opts).unwrap()))

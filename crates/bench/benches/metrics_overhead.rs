@@ -6,10 +6,6 @@
 //! the `enabled` series must stay within noise of `disabled` — the
 //! structured counters are either plain locals flushed once per run
 //! (workers, engine) or one shard-local bump per dispatch (gemm).
-//!
-//! The wall-clock version of this guard lives in the `bench` binary's
-//! `metrics` family and is recorded into `BENCH_METRICS.json`; this
-//! bench keeps the same comparison in the criterion history.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

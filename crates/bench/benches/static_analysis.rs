@@ -4,11 +4,11 @@
 //!   ([`hanayo_core::schedule::search::check_move`]) against re-running
 //!   the full table checker on every candidate, over the same seeded
 //!   move stream `local_search` draws.
-//! * `static_prune` — the tuner's OOM-heavy wide sweep with the static
-//!   analyzer pre-pass on and off. The pre-pass replaces a simulation
-//!   with a liveness replay for every plan it rejects; the bench prints
-//!   the number of simulate calls avoided (= recorded OOM rejections)
-//!   once at startup so the speedup has its denominator next to it.
+//! * `static_prune` — the tuner's OOM-heavy wide sweep, whose static
+//!   analyzer pre-pass replaces a simulation with a liveness replay for
+//!   every plan it rejects; the bench prints the number of simulate calls
+//!   avoided (= recorded OOM rejections) once at startup so the timing
+//!   has its denominator next to it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -69,32 +69,25 @@ fn bench_move_check(c: &mut Criterion) {
 }
 
 fn bench_static_prune(c: &mut Criterion) {
-    // The OOM-heavy sweep from the tuner's byte-equivalence test: BERT on
+    // The OOM-heavy sweep from the tuner's static-prune test: BERT on
     // 8 A100s is memory-starved at global batch 16, so a large share of
     // the wide plan grid dies on capacity — exactly what the static
     // pre-pass skips simulating.
     let model = ModelConfig::bert64();
     let cluster = lonestar6(8);
     let opts = TuneOptions { waves: vec![1, 2, 4], min_pp: 4, ..Default::default() }.wide();
-    let pruned_opts = TuneOptions { static_prune: true, ..opts.clone() };
-    let unpruned_opts = TuneOptions { static_prune: false, ..opts.clone() };
 
-    let tuning = tune_serial(&model, &cluster, 16, 4, &pruned_opts);
+    let tuning = tune_serial(&model, &cluster, 16, 4, &opts);
     let avoided = tuning.rejected.iter().filter(|r| matches!(r, Rejection::Oom { .. })).count();
     eprintln!(
-        "static_prune: {avoided} of {} evaluated plans rejected statically \
+        "static prune: {avoided} of {} evaluated plans rejected statically \
          (simulate calls avoided per sweep)",
         tuning.ranked.len() + tuning.rejected.len()
     );
 
     let mut g = c.benchmark_group("static_prune");
     g.sample_size(10);
-    g.bench_function("on", |b| {
-        b.iter(|| black_box(tune_serial(&model, &cluster, 16, 4, &pruned_opts)))
-    });
-    g.bench_function("off", |b| {
-        b.iter(|| black_box(tune_serial(&model, &cluster, 16, 4, &unpruned_opts)))
-    });
+    g.bench_function("on", |b| b.iter(|| black_box(tune_serial(&model, &cluster, 16, 4, &opts))));
     g.finish();
 }
 

@@ -208,6 +208,21 @@ fn healthz_answers_and_drain_refuses_new_work() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_server_stays_up() {
+    // 400 KB of `[`: without the JSON nesting cap the recursive parser
+    // overflowed the connection thread's stack and aborted the process.
+    let server = serve("127.0.0.1:0").expect("bind");
+    let client = Client::new(server.addr());
+    let body = "[".repeat(400_000);
+    for path in ["/v1/plan", "/v1/tune", "/v1/jobs/tune"] {
+        let resp = client.request("POST", path, Some(&body)).expect("exchange");
+        assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+    }
+    assert_eq!(client.healthz().expect("healthz after hostile bodies"), "ok\n");
+    server.stop();
+}
+
+#[test]
 fn concurrent_identical_tunes_are_deduplicated() {
     let server = serve("127.0.0.1:0").expect("bind");
     let client = Client::new(server.addr());

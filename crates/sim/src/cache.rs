@@ -205,15 +205,15 @@ pub(crate) type CompiledEntry = (Arc<CompiledSchedule>, u32);
 /// byte-identical report the simulation would have produced.
 pub(crate) type GroupReportMemo = BoundedMap<(u64, usize), SimReport>;
 
-/// Cross-candidate artifact caches for one sweep
-/// ([`crate::tuner::TuneOptions::batched`]) — or, handed to
+/// Cross-candidate artifact caches for one sweep — or, handed to
 /// [`crate::tuner::tune_with`] through a
 /// [`crate::tuner::TuneContext`], for every sweep of one `(model,
 /// cluster)` pair a resident service ever evaluates.
 ///
 /// The wide sweep's axes (sim-option ablations, recompute modes,
 /// micro-batch merges) multiply a handful of distinct pipeline shapes into
-/// hundreds of candidates; per candidate, the seed path re-built the
+/// hundreds of candidates; evaluated from scratch
+/// ([`crate::plan::evaluate_plan`]), each candidate would re-build the
 /// schedule, the cost table, the static memory replay, the engine lowering
 /// and — for every data-parallel clone of a shape — the group simulation
 /// itself. Every cached value is a pure function of its cache key, so a
@@ -379,12 +379,10 @@ impl SweepCaches {
         cost_key: CostKey,
         sim: &SimOptions,
         content_id: u32,
-    ) -> Option<u64> {
+    ) -> u64 {
         let key = (schedule_key, cost_key, report_key(sim, content_id));
-        Some(
-            self.report_ids
-                .get_or_insert_with(key, || self.next_report_id.fetch_add(1, Ordering::Relaxed)),
-        )
+        self.report_ids
+            .get_or_insert_with(key, || self.next_report_id.fetch_add(1, Ordering::Relaxed))
     }
 }
 

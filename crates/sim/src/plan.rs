@@ -208,80 +208,62 @@ pub fn evaluate_plan(
     // bandwidth would otherwise silently corrupt every simulated time.
     validate_numerics(&cost, cluster, &opts).map_err(PlanError::Numerics)?;
 
-    evaluate_resolved(plan, cluster, opts, (pp_eff, dp_eff, b_eff), &schedule, &cost)
+    evaluate_resolved(plan, cluster, opts, (pp_eff, dp_eff, b_eff), &schedule, &cost, None)
 }
 
 pub(crate) use crate::cache::GroupReportMemo;
 
-/// Cross-candidate reuse handles for [`evaluate_resolved_with`]. The
-/// `Default` value (`none`) reproduces the from-scratch path exactly.
-#[derive(Default, Clone, Copy)]
+/// Cross-candidate reuse handles the tuner hands to [`evaluate_resolved`]:
+/// a pre-lowered schedule (lowered from the same schedule with matching
+/// lookahead options) and a group-report memo slot. With reuse on, each
+/// data-parallel group's sub-cluster is also simulated once: later groups
+/// whose sub-cluster equals group 0's (always, on a homogeneous cluster)
+/// reuse group 0's report.
+#[derive(Clone, Copy)]
 pub(crate) struct SimReuse<'a> {
-    /// Pre-lowered schedule; must be lowered from the same schedule with
-    /// matching lookahead options.
-    pub compiled: Option<&'a CompiledSchedule>,
-    /// `(memo, artifact id)` for group-report reuse across candidates.
-    pub memo: Option<(&'a GroupReportMemo, u64)>,
-    /// Simulate each data-parallel group's sub-cluster once: later groups
-    /// whose sub-cluster equals group 0's (always, on a homogeneous
-    /// cluster) reuse group 0's report. Off in the default path so the
-    /// per-candidate profile stays exactly the seed's; the batched tuner
-    /// turns it on.
-    pub dedup_groups: bool,
+    pub compiled: &'a CompiledSchedule,
+    pub memo: &'a GroupReportMemo,
+    /// This artifact triple's slot id in `memo`.
+    pub id: u64,
 }
 
 /// The simulation half of [`evaluate_plan`], taking the already-resolved
 /// shape and the built schedule/cost table. The tuner's static pre-pass
 /// builds these artifacts anyway to replay memory; handing them over here
 /// means a plan that survives the pre-pass is not re-lowered from scratch.
-/// Schedule lowering and cost construction are deterministic, so the
-/// result is byte-identical to the from-scratch path.
+/// Schedule lowering and cost construction are deterministic, and every
+/// reuse channel returns values that are pure functions of the inputs it
+/// is keyed on, so the result is byte-identical to the from-scratch path
+/// (`reuse: None`, what [`evaluate_plan`] runs; `tuner::tests` pins this).
 pub(crate) fn evaluate_resolved(
-    plan: &ParallelPlan,
-    cluster: &ClusterSpec,
-    opts: SimOptions,
-    shape: (u32, u32, u32),
-    schedule: &Schedule,
-    cost: &CostTable,
-) -> Result<PlanResult, PlanError> {
-    evaluate_resolved_with(plan, cluster, opts, shape, schedule, cost, SimReuse::default())
-}
-
-/// [`evaluate_resolved`] with optional cross-candidate reuse. Every reuse
-/// channel returns values that are pure functions of the inputs the
-/// channel is keyed on, so enabling any combination of them yields a
-/// byte-identical [`PlanResult`] (`tuner::tests` pins this).
-pub(crate) fn evaluate_resolved_with(
     plan: &ParallelPlan,
     cluster: &ClusterSpec,
     opts: SimOptions,
     (pp_eff, dp_eff, b_eff): (u32, u32, u32),
     schedule: &Schedule,
     cost: &CostTable,
-    reuse: SimReuse<'_>,
+    reuse: Option<SimReuse<'_>>,
 ) -> Result<PlanResult, PlanError> {
     // Simulate each group on its contiguous device slice. `resolve`
-    // guarantees `dp_eff >= 1`, so group 0 runs unconditionally; any later
-    // group whose sub-cluster equals group 0's (always, on a homogeneous
-    // cluster) reuses group 0's report instead of re-simulating — the
-    // engine is deterministic, so the skipped run could only have
-    // reproduced the same report.
+    // guarantees `dp_eff >= 1`, so group 0 runs unconditionally; with
+    // reuse on, any later group whose sub-cluster equals group 0's (always,
+    // on a homogeneous cluster) reuses group 0's report instead of
+    // re-simulating — the engine is deterministic, so the skipped run could
+    // only have reproduced the same report.
     let simulate_sub = |sub: &ClusterSpec, first: usize| -> Result<SimReport, PlanError> {
-        if let Some((memo, id)) = reuse.memo {
-            if let Some(hit) = memo.get(&(id, first)) {
-                return Ok(hit);
-            }
+        if let Some(hit) = reuse.and_then(|r| r.memo.get(&(r.id, first))) {
+            return Ok(hit);
         }
-        let report = match reuse.compiled {
-            Some(compiled) => try_simulate_compiled(compiled, schedule, cost, sub, opts),
+        let report = match reuse {
+            Some(r) => try_simulate_compiled(r.compiled, schedule, cost, sub, opts),
             None => try_simulate(schedule, cost, sub, opts),
         }
         .map_err(|e| match e {
             SimError::Numerics(n) => PlanError::Numerics(n),
             other => PlanError::Sim(other),
         })?;
-        if let Some((memo, id)) = reuse.memo {
-            memo.insert_if_absent((id, first), report.clone());
+        if let Some(r) = reuse {
+            r.memo.insert_if_absent((r.id, first), report.clone());
         }
         Ok(report)
     };
@@ -303,7 +285,7 @@ pub(crate) fn evaluate_resolved_with(
     for g in 1..dp_eff {
         let devices = group_devices(g);
         let sub = cluster.select(&devices);
-        if reuse.dedup_groups && sub == sub0 {
+        if reuse.is_some() && sub == sub0 {
             // Identical sub-cluster, same schedule/cost/options: the
             // simulation is a pure function of those, so group 0's report
             // already is this group's report (and its iteration time

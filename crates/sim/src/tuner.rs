@@ -35,24 +35,21 @@
 use crate::cache::{CostKey, SchedKey, SweepCaches};
 use crate::engine::{validate_numerics, SimOptions};
 use crate::plan::{
-    evaluate_plan, evaluate_resolved_with, resolve, Method, ParallelPlan, PlanResult, SimReuse,
+    evaluate_plan, evaluate_resolved, resolve, Method, ParallelPlan, PlanResult, SimReuse,
 };
 use crate::search::{search_schedule, ScheduleSearchOptions, SearchedSchedule};
-use hanayo_analyze::{check_deadlock_free, static_peak_mem};
 use hanayo_ckpt::recovery;
 use hanayo_ckpt::{RecoveryEval, RecoveryOptions};
 use hanayo_cluster::ClusterSpec;
 use hanayo_core::abort::AbortFlag;
 use hanayo_core::action::Schedule;
-use hanayo_core::config::{PipelineConfig, Scheme};
-use hanayo_core::schedule::build_schedule;
+use hanayo_core::config::PipelineConfig;
 use hanayo_model::{CostTable, ModelConfig, Recompute};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One evaluated candidate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -201,27 +198,6 @@ pub struct TuneOptions {
     /// [`Tuning::searched`]. Deterministic (seeded), so [`tune`] and
     /// [`tune_serial`] stay byte-identical.
     pub schedule_search: Option<ScheduleSearchOptions>,
-    /// Statically reject candidates before simulating: a deadlock-free
-    /// happens-before DAG plus the analyzer's exact activation-liveness
-    /// replay decide OOM without running the engine, so memory-doomed
-    /// plans skip their simulation entirely. The ranking (and every
-    /// rejection record) is *byte-identical* with the pre-pass on or off —
-    /// the static peak equals the simulated peak exactly — which is why it
-    /// defaults to on. Turn it off to benchmark the saving or to force
-    /// every candidate through the engine.
-    pub static_prune: bool,
-    /// Share pure artifacts across the candidates of one sweep: built
-    /// schedules, cost tables, static memory replays, lowered
-    /// ([`crate::engine::compile_schedule`]) programs, and per-group
-    /// simulation reports. A wide sweep ablates sim options and recompute
-    /// modes around a handful of distinct pipeline shapes, so most
-    /// candidates re-derive artifacts an earlier candidate already built;
-    /// batching builds each exactly once. Every shared value is a pure
-    /// function of its cache key, so the ranking and every rejection
-    /// record stay *byte-identical* with batching on or off (a test pins
-    /// this, parallel and serial). Defaults to on; turn off to benchmark
-    /// the saving or to force per-candidate lowering.
-    pub batched: bool,
 }
 
 impl Default for TuneOptions {
@@ -238,8 +214,6 @@ impl Default for TuneOptions {
             checkpoint_intervals: Vec::new(),
             recovery: RecoveryOptions::default(),
             schedule_search: None,
-            static_prune: true,
-            batched: true,
         }
     }
 }
@@ -475,22 +449,13 @@ enum Outcome {
     Shape(String),
 }
 
-/// Memoized deadlock verdicts for one sweep, keyed by the schedule's
-/// shape `(scheme, pp_eff, b_eff)` — the only inputs schedule lowering
-/// takes. The wide sweep ablates sim options, micro-batch sizes and
-/// recompute modes, none of which change the schedule, so dozens of
-/// candidates share one happens-before DAG. The verdict is a pure
-/// function of the key, so memoization cannot perturb the (byte-identical)
-/// ranking regardless of worker interleaving.
-type DeadlockCache = Mutex<HashMap<(Scheme, u32, u32), bool>>;
-
 /// What the static pre-pass decided about one plan.
 enum StaticVerdict {
     /// Statically proven OOM on a deadlock-free schedule: skip the
     /// simulation and record this rejection.
     Reject(Rejection),
     /// Every static check passed. The built schedule and cost table are
-    /// handed to [`evaluate_resolved_with`] so a surviving plan is not
+    /// handed to [`evaluate_resolved`] so a surviving plan is not
     /// re-lowered from scratch — `shape` is `(pp_eff, dp_eff, b_eff)`;
     /// the cache keys travel along so the simulation stage can reach the
     /// sweep-wide lowering and report caches.
@@ -521,8 +486,7 @@ fn static_verdict(
     cluster: &ClusterSpec,
     plan: &ParallelPlan,
     sim: SimOptions,
-    dl_cache: &DeadlockCache,
-    caches: Option<&SweepCaches>,
+    caches: &SweepCaches,
 ) -> StaticVerdict {
     let needed = plan.dp * plan.pp;
     if needed as usize > cluster.len() {
@@ -537,26 +501,11 @@ fn static_verdict(
         return StaticVerdict::Undecided;
     };
     let schedule_key: SchedKey = (scheme, pp_eff, b_eff);
-    let schedule = match caches {
-        Some(c) => match c.schedule_for(schedule_key, &cfg) {
-            Some(s) => s,
-            None => return StaticVerdict::Undecided,
-        },
-        None => match build_schedule(&cfg) {
-            Ok(s) => Arc::new(s),
-            Err(_) => return StaticVerdict::Undecided,
-        },
+    let Some(schedule) = caches.schedule_for(schedule_key, &cfg) else {
+        return StaticVerdict::Undecided;
     };
     let cost_key: CostKey = (cfg.stages(), plan.micro_batch_size, plan.recompute);
-    let cost = match caches {
-        Some(c) => c.cost_for(cost_key, model),
-        None => Arc::new(CostTable::build_with(
-            model,
-            cfg.stages(),
-            plan.micro_batch_size,
-            plan.recompute,
-        )),
-    };
+    let cost = caches.cost_for(cost_key, model);
     if validate_numerics(&cost, cluster, &sim).is_err() {
         return StaticVerdict::Undecided;
     }
@@ -565,10 +514,7 @@ fn static_verdict(
     // broadcast over the groups the way evaluate_plan merges group
     // reports (memory is schedule-order-determined, so every group peaks
     // identically; devices outside the plan stay at zero).
-    let group_peak = match caches {
-        Some(c) => c.peaks_for((schedule_key, cost_key), &schedule, &cost),
-        None => Arc::new(static_peak_mem(&schedule, &cost)),
-    };
+    let group_peak = caches.peaks_for((schedule_key, cost_key), &schedule, &cost);
     let mut peak_mem = vec![0u64; cluster.len()];
     for g in 0..dp_eff as usize {
         for (r, &peak) in group_peak.iter().enumerate().take(pp_eff as usize) {
@@ -591,27 +537,9 @@ fn static_verdict(
     // simulation it skips would have reported exactly these peaks rather
     // than a deadlock. Plans that fit in memory skip the DAG entirely —
     // they are heading into the engine anyway — and candidates sharing a
-    // schedule shape share one memoized verdict. A poisoned cache lock
-    // degrades to recomputing, never to a wrong verdict.
-    let key = (scheme, pp_eff, b_eff);
-    let deadlock_free = match caches {
-        // Batched sweeps park the verdict in the shared caches, where a
-        // resident service can reuse it across requests.
-        Some(c) => c.deadlock_free(key, &schedule),
-        None => {
-            let cached = dl_cache.lock().ok().and_then(|m| m.get(&key).copied());
-            match cached {
-                Some(v) => v,
-                None => {
-                    let v = check_deadlock_free(&schedule).is_ok();
-                    if let Ok(mut m) = dl_cache.lock() {
-                        m.insert(key, v);
-                    }
-                    v
-                }
-            }
-        }
-    };
+    // schedule shape share one memoized verdict in the caches, where a
+    // resident service can reuse it across requests.
+    let deadlock_free = caches.deadlock_free(schedule_key, &schedule);
     if !deadlock_free {
         return StaticVerdict::Undecided;
     }
@@ -738,12 +666,10 @@ fn record_candidate(outcome: &Outcome) {
 fn evaluate_candidate(
     model: &ModelConfig,
     cluster: &ClusterSpec,
-    opts: &TuneOptions,
-    dl_cache: &DeadlockCache,
-    caches: Option<&SweepCaches>,
+    caches: &SweepCaches,
     cand: &(ParallelPlan, SimOptions, Option<String>),
 ) -> (ParallelPlan, SimOptions, Outcome) {
-    let verdict = evaluate_candidate_inner(model, cluster, opts, dl_cache, caches, cand);
+    let verdict = evaluate_candidate_inner(model, cluster, caches, cand);
     record_candidate(&verdict.2);
     verdict
 }
@@ -751,42 +677,26 @@ fn evaluate_candidate(
 fn evaluate_candidate_inner(
     model: &ModelConfig,
     cluster: &ClusterSpec,
-    opts: &TuneOptions,
-    dl_cache: &DeadlockCache,
-    caches: Option<&SweepCaches>,
+    caches: &SweepCaches,
     (plan, sim, shape_reason): &(ParallelPlan, SimOptions, Option<String>),
 ) -> (ParallelPlan, SimOptions, Outcome) {
     if let Some(reason) = shape_reason {
         return (*plan, *sim, Outcome::Shape(reason.clone()));
     }
-    if opts.static_prune {
-        match static_verdict(model, cluster, plan, *sim, dl_cache, caches) {
-            StaticVerdict::Reject(rejection) => {
-                return (*plan, *sim, Outcome::StaticOom(rejection));
-            }
-            StaticVerdict::Pass { shape, schedule_key, cost_key, schedule, cost } => {
-                let compiled = caches.map(|c| c.compiled_for(schedule_key, &schedule, sim));
-                let reuse = SimReuse {
-                    compiled: compiled.as_ref().map(|(c, _)| &**c),
-                    memo: caches.and_then(|c| {
-                        let content_id = compiled.as_ref().map_or(u32::MAX, |(_, id)| *id);
-                        c.report_id(schedule_key, cost_key, sim, content_id)
-                            .map(|id| (&c.reports, id))
-                    }),
-                    dedup_groups: caches.is_some(),
-                };
-                let outcome = match evaluate_resolved_with(
-                    plan, cluster, *sim, shape, &schedule, &cost, reuse,
-                ) {
-                    Ok(result) => Outcome::Simulated(result),
-                    Err(e) => Outcome::Shape(e.to_string()),
-                };
-                return (*plan, *sim, outcome);
-            }
-            StaticVerdict::Undecided => {}
+    let result = match static_verdict(model, cluster, plan, *sim, caches) {
+        StaticVerdict::Reject(rejection) => return (*plan, *sim, Outcome::StaticOom(rejection)),
+        StaticVerdict::Pass { shape, schedule_key, cost_key, schedule, cost } => {
+            let (compiled, content_id) = caches.compiled_for(schedule_key, &schedule, sim);
+            let reuse = SimReuse {
+                compiled: &compiled,
+                memo: &caches.reports,
+                id: caches.report_id(schedule_key, cost_key, sim, content_id),
+            };
+            evaluate_resolved(plan, cluster, *sim, shape, &schedule, &cost, Some(reuse))
         }
-    }
-    let outcome = match evaluate_plan(plan, model, cluster, *sim) {
+        StaticVerdict::Undecided => evaluate_plan(plan, model, cluster, *sim),
+    };
+    let outcome = match result {
         Ok(result) => Outcome::Simulated(result),
         Err(e) => Outcome::Shape(e.to_string()),
     };
@@ -821,10 +731,9 @@ impl TuneProgress {
 #[derive(Clone, Default)]
 pub struct TuneContext {
     /// Artifact caches shared *across* sweeps. `None` gives each sweep
-    /// its own caches (when [`TuneOptions::batched`] is on). **Sharing
-    /// contract:** the cache keys assume one model and one cluster — a
-    /// resident service must key its shared handles by the `(model,
-    /// cluster)` configuration. Ignored when `batched` is off.
+    /// its own caches. **Sharing contract:** the cache keys assume one
+    /// model and one cluster — a resident service must key its shared
+    /// handles by the `(model, cluster)` configuration.
     pub caches: Option<Arc<SweepCaches>>,
     /// Cooperative cancellation: checked between candidate batches; a
     /// tripped flag makes the sweep return [`TuneError::Cancelled`]
@@ -884,13 +793,8 @@ fn tune_impl(
     parallel: bool,
 ) -> Result<Tuning, TuneError> {
     let space = candidate_space(cluster.len() as u32, global_micro_batches, micro_batch_size, opts);
-    let dl_cache = DeadlockCache::default();
-    // Shared caches only apply to batched sweeps (they hold exactly the
-    // cross-candidate artifacts batching shares); an unbatched sweep
-    // ignores a supplied handle rather than silently turning batching on.
-    let owned = (opts.batched && ctx.caches.is_none()).then(SweepCaches::default);
-    let caches: Option<&SweepCaches> =
-        if opts.batched { ctx.caches.as_deref().or(owned.as_ref()) } else { None };
+    let caches = ctx.caches.clone().unwrap_or_default();
+    let caches = &*caches;
     if let Some(p) = &ctx.progress {
         p.total.store(space.len() as u64, Ordering::SeqCst);
         p.evaluated.store(0, Ordering::SeqCst);
@@ -910,7 +814,7 @@ fn tune_impl(
             let outcomes: Vec<_> = batch
                 .par_iter()
                 .map(|cand| {
-                    let out = evaluate_candidate(model, cluster, opts, &dl_cache, caches, cand);
+                    let out = evaluate_candidate(model, cluster, caches, cand);
                     progress.tick();
                     out
                 })
@@ -918,7 +822,7 @@ fn tune_impl(
             evaluated.extend(outcomes);
         } else {
             evaluated.extend(batch.iter().map(|cand| {
-                let out = evaluate_candidate(model, cluster, opts, &dl_cache, caches, cand);
+                let out = evaluate_candidate(model, cluster, caches, cand);
                 progress.tick();
                 out
             }));
@@ -1063,27 +967,46 @@ mod tests {
         }
     }
 
+    /// Hold every ranked candidate and every OOM rejection (static or
+    /// simulated) of `t` to a from-scratch [`evaluate_plan`] call: the
+    /// shared caches, the static pre-pass and the group dedup must all be
+    /// invisible in the output.
+    fn assert_matches_evaluate_plan(t: &Tuning, model: &ModelConfig, cluster: &ClusterSpec) {
+        for c in &t.ranked {
+            let oracle = evaluate_plan(&c.plan, model, cluster, c.sim).unwrap();
+            assert_eq!(c.result, oracle, "{:?} under {:?}", c.plan, c.sim);
+        }
+        for r in &t.rejected {
+            if let Rejection::Oom { plan, sim, peak_bytes, capacity_bytes, devices } = r {
+                let oracle = evaluate_plan(plan, model, cluster, *sim).unwrap();
+                assert_eq!(devices, &oracle.oom_devices, "{plan:?}");
+                let (worst, peak) = devices
+                    .iter()
+                    .map(|&d| (d, oracle.peak_mem[d]))
+                    .max_by_key(|&(_, m)| m)
+                    .expect("an OOM rejection names its devices");
+                assert_eq!((*peak_bytes, *capacity_bytes), (peak, cluster.memory(worst)));
+            }
+        }
+    }
+
     #[test]
-    fn static_prune_is_byte_identical_and_catches_every_oom() {
+    fn static_prune_matches_evaluate_plan_and_catches_every_oom() {
         // The OOM-heavy scenario from oom_plans_are_reported_not_ranked,
-        // swept wide: with the static pre-pass every memory rejection is
-        // decided without simulating, and the entire tuning — ranking,
-        // rejection records, order — is byte-identical to the unpruned
-        // run.
+        // swept wide: every memory rejection the static pre-pass decides
+        // without simulating carries exactly the peaks the engine reports.
         let model = ModelConfig::bert64();
         let cluster = lonestar6(8);
-        let wide = opts().wide();
-        let pruned = tune(&model, &cluster, 16, 4, &wide);
-        let unpruned =
-            tune(&model, &cluster, 16, 4, &TuneOptions { static_prune: false, ..wide.clone() });
-        assert_eq!(pruned, unpruned);
-        let ooms = pruned.rejected.iter().filter(|r| r.is_oom()).count();
+        let t = tune(&model, &cluster, 16, 4, &opts().wide());
+        let ooms = t.rejected.iter().filter(|r| r.is_oom()).count();
         assert!(ooms > 0, "scenario must actually exercise the memory axis");
-        // And the pre-pass alone reproduces each recorded rejection.
-        for r in &pruned.rejected {
+        assert_matches_evaluate_plan(&t, &model, &cluster);
+        // And the pre-pass alone, on cold caches, reproduces each recorded
+        // rejection.
+        for r in &t.rejected {
             if let Rejection::Oom { plan, sim, .. } = r {
                 let StaticVerdict::Reject(statically) =
-                    static_verdict(&model, &cluster, plan, *sim, &DeadlockCache::default(), None)
+                    static_verdict(&model, &cluster, plan, *sim, &SweepCaches::default())
                 else {
                     panic!("every simulated OOM must be statically decidable");
                 };
@@ -1119,22 +1042,18 @@ mod tests {
     }
 
     #[test]
-    fn batched_sweep_is_byte_identical_to_per_candidate() {
-        // The batched path shares built schedules, cost tables, static
-        // memory replays, engine lowerings and pipeline-group reports
-        // across the whole sweep. Every shared artifact is a pure
-        // function of its cache key, so the complete tuning — ranking,
-        // rejections, order — must match the per-candidate path byte for
-        // byte, under both parallel and serial evaluation.
+    fn shared_caches_match_evaluate_plan_from_scratch() {
+        // The sweep shares built schedules, cost tables, static memory
+        // replays, engine lowerings and pipeline-group reports across all
+        // its candidates. Every shared artifact is a pure function of its
+        // cache key, so each candidate must match a from-scratch
+        // evaluation, under both parallel and serial evaluation.
         let model = ModelConfig::bert64().with_train_bytes_per_param(8);
         let cluster = lonestar6(8);
         let wide = opts().wide();
-        let batched = tune(&model, &cluster, 16, 1, &wide);
-        let per_candidate =
-            tune(&model, &cluster, 16, 1, &TuneOptions { batched: false, ..wide.clone() });
-        assert_eq!(batched, per_candidate);
-        let serial_batched = tune_serial(&model, &cluster, 16, 1, &wide);
-        assert_eq!(batched, serial_batched);
+        let t = tune(&model, &cluster, 16, 1, &wide);
+        assert_matches_evaluate_plan(&t, &model, &cluster);
+        assert_eq!(t, tune_serial(&model, &cluster, 16, 1, &wide));
     }
 
     #[test]

@@ -285,9 +285,8 @@ impl Stage {
     /// Linear blocks route through the fused transposed kernels
     /// ([`Tensor::matmul_at_b`] / [`Tensor::matmul_a_bt`]) instead of
     /// materializing `xᵀ` / `Wᵀ` copies per micro-batch; the kernels are
-    /// bitwise identical to the transpose-then-matmul seed path (under
-    /// [`crate::tensor::set_reference_kernels`] they *are* the seed path),
-    /// so gradients are unchanged to the bit.
+    /// bitwise identical to the transpose-then-[`Tensor::matmul_reference`]
+    /// seed path, so gradients are unchanged to the bit.
     pub fn backward(&self, stash: &StageStash, dy: &Tensor) -> (Tensor, StageGrads) {
         assert_eq!(stash.per_block.len(), self.blocks.len(), "stash mismatch");
         let mut grad = dy.clone();
@@ -531,18 +530,56 @@ mod tests {
     }
 
     #[test]
-    fn forward_backward_bits_identical_under_reference_kernels() {
-        // The whole-stage A/B: fast kernels vs the frozen seed route must
-        // agree to the bit on activations, input grads and weight grads.
+    fn forward_backward_bits_match_reference_gemm_compositions() {
+        // The whole-stage A/B: the stage's fused kernels vs a block-by-block
+        // replay whose linear blocks are explicit seed-gemm compositions
+        // must agree to the bit on activations, input grads and weight grads.
         let s = Stage::mlp(&mut seeded(77), 12, 3);
         let x = rng::uniform(&mut seeded(78), 5, 12, 0.9);
         let dy = rng::uniform(&mut seeded(79), 5, 12, 0.9);
         let (y_fast, stash_fast) = s.forward(&x);
         let (dx_fast, g_fast) = s.backward(&stash_fast, &dy);
-        crate::tensor::set_reference_kernels(true);
-        let (y_ref, stash_ref) = s.forward(&x);
-        let (dx_ref, g_ref) = s.backward(&stash_ref, &dy);
-        crate::tensor::set_reference_kernels(false);
+
+        // Gemm-free blocks replay through one-block stages.
+        let single = |b: &Block| Stage { blocks: vec![b.clone()] };
+        let mut inputs = Vec::new();
+        let mut y_ref = x.clone();
+        for block in &s.blocks {
+            inputs.push(y_ref.clone());
+            y_ref = match block {
+                Block::Linear { w, b } => {
+                    let mut y = y_ref.matmul_reference(w);
+                    for row in y.data.chunks_mut(y.cols) {
+                        for (v, &bias) in row.iter_mut().zip(b) {
+                            *v += bias;
+                        }
+                    }
+                    y
+                }
+                _ => single(block).forward(&y_ref).0,
+            };
+        }
+        let mut dx_ref = dy.clone();
+        let mut g_ref = Vec::new();
+        for (block, input) in s.blocks.iter().zip(&inputs).rev() {
+            match block {
+                Block::Linear { w, .. } => {
+                    let dw = input.transpose().matmul_reference(&dx_ref);
+                    g_ref.push(BlockGrads::Linear { dw, db: dx_ref.col_sum() });
+                    dx_ref = dx_ref.matmul_reference(&w.transpose());
+                }
+                _ => {
+                    let one = single(block);
+                    let (_, stash) = one.forward(input);
+                    let (dx, g) = one.backward(&stash, &dx_ref);
+                    g_ref.extend(g.per_block);
+                    dx_ref = dx;
+                }
+            }
+        }
+        g_ref.reverse();
+        let g_ref = StageGrads { per_block: g_ref };
+
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&y_fast.data), bits(&y_ref.data), "activations drift");
         assert_eq!(bits(&dx_fast.data), bits(&dx_ref.data), "input grads drift");

@@ -3,7 +3,6 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Row-major 2-D f32 tensor. Rows are samples (the micro-batch dimension),
 /// columns are features.
@@ -27,31 +26,9 @@ pub struct Tensor {
 /// roughly the cost of one pooled dispatch.
 pub const PAR_FLOP_THRESHOLD: usize = 32 * 1024;
 
-/// Seed-era element-count gate (`m * n`), kept only inside the frozen
-/// reference kernel so before/after benches reproduce the old dispatch.
-const REFERENCE_PAR_THRESHOLD: usize = 64 * 64;
-
 /// Column tile for the blocked gemm: four `b`-row segments plus the output
 /// segment stay resident in L1 (5 × 512 × 4 B = 10 KiB).
 const GEMM_COL_TILE: usize = 512;
-
-static FORCE_REFERENCE_KERNELS: AtomicBool = AtomicBool::new(false);
-
-/// Route every gemm through the frozen seed kernels
-/// ([`Tensor::matmul_reference`] and transpose-materializing fused paths).
-///
-/// The fast kernels are bitwise identical to the reference, so flipping
-/// this changes speed, never results. It exists so the bench harness can
-/// measure honest before/after medians inside one process, and so tests
-/// can A/B whole training runs across both kernel generations.
-pub fn set_reference_kernels(on: bool) {
-    FORCE_REFERENCE_KERNELS.store(on, Ordering::Relaxed);
-}
-
-/// True when [`set_reference_kernels`] has routed gemms to the seed path.
-pub fn reference_kernels() -> bool {
-    FORCE_REFERENCE_KERNELS.load(Ordering::Relaxed)
-}
 
 /// Parallel-dispatch decision for an `[m,k] × [k,n]` product: gate on work
 /// (`m * k * n` multiply-adds), not output size (`m * n`). A
@@ -195,9 +172,6 @@ impl Tensor {
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "matmul")], 1);
-        if reference_kernels() {
-            return self.matmul_reference(other);
-        }
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; m * n];
 
@@ -213,16 +187,13 @@ impl Tensor {
         Tensor { rows: m, cols: n, data: out }
     }
 
-    /// Frozen seed gemm: naive `ikj` with the seed's element-count
-    /// (`m * n`) parallel gate. Kept verbatim so property tests can pin
-    /// the fast kernels bitwise against it and so the bench harness can
-    /// measure honest before/after medians inside one binary.
+    /// Frozen seed gemm: the naive serial `ikj` loop. The test oracle the
+    /// property tests pin the fast kernels bitwise against.
     pub fn matmul_reference(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; m * n];
-
-        let row_job = |(i, out_row): (usize, &mut [f32])| {
+        for (i, out_row) in out.chunks_mut(n).enumerate() {
             let a_row = &self.data[i * k..(i + 1) * k];
             for (p, &a) in a_row.iter().enumerate() {
                 let b_row = &other.data[p * n..(p + 1) * n];
@@ -230,12 +201,6 @@ impl Tensor {
                     *o += a * b;
                 }
             }
-        };
-
-        if m * n >= REFERENCE_PAR_THRESHOLD {
-            out.par_chunks_mut(n).enumerate().for_each(row_job);
-        } else {
-            out.chunks_mut(n).enumerate().for_each(row_job);
         }
         Tensor { rows: m, cols: n, data: out }
     }
@@ -247,9 +212,6 @@ impl Tensor {
     pub fn matmul_at_b(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rows, other.rows, "matmul_at_b shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "at_b")], 1);
-        if reference_kernels() {
-            return self.transpose().matmul_reference(other);
-        }
         let (m, ka, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; ka * n];
 
@@ -279,9 +241,6 @@ impl Tensor {
     pub fn matmul_a_bt(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "matmul_a_bt shape mismatch");
         hanayo_metrics::count!("hanayo_gemm_dispatch_total", &[("kernel", "a_bt")], 1);
-        if reference_kernels() {
-            return self.matmul_reference(&other.transpose());
-        }
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let bt = other.transpose();
         let mut out = vec![0.0f32; m * n];
@@ -426,17 +385,6 @@ mod tests {
             let c = dense(n, k, 23 + k as u64);
             assert_bits_eq(&a.matmul_a_bt(&c), &a.matmul_reference(&c.transpose()), "matmul_a_bt");
         }
-    }
-
-    #[test]
-    fn reference_kernel_switch_routes_but_never_changes_bits() {
-        let a = dense(9, 31, 41);
-        let b = dense(31, 14, 43);
-        let fast = a.matmul(&b);
-        set_reference_kernels(true);
-        let slow = a.matmul(&b);
-        set_reference_kernels(false);
-        assert_bits_eq(&fast, &slow, "reference switch");
     }
 
     #[test]

@@ -22,14 +22,24 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 /// Deserialize a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    T::from_value(&parse(s)?)
+}
+
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a cap a body of a few hundred thousand `[` would
+/// overflow the thread's stack and abort the whole process; past the cap
+/// parsing fails with an ordinary [`Error`] instead.
+const MAX_DEPTH: usize = 128;
+
+fn parse(s: &str) -> Result<Value, Error> {
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(Error::custom("trailing characters after JSON value"));
     }
-    T::from_value(&v)
+    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -119,6 +129,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -190,54 +202,73 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+            Some(b'[') => self.nested(Self::parse_seq),
+            Some(b'{') => self.nested(Self::parse_map),
+            Some(_) => self.parse_number(),
+        }
+    }
+
+    /// Parse one array or object level with `parse`, failing instead of
+    /// recursing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn parse_seq(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Seq(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Value::Seq(items));
                 }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        _ => return Err(Error::custom("expected `,` or `]`")),
-                    }
-                }
+                _ => return Err(Error::custom("expected `,` or `]`")),
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    fn parse_map(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Map(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            entries.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
                     return Ok(Value::Map(entries));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    entries.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(entries));
-                        }
-                        _ => return Err(Error::custom("expected `,` or `}`")),
-                    }
-                }
+                _ => return Err(Error::custom("expected `,` or `}`")),
             }
-            Some(_) => self.parse_number(),
         }
     }
 
@@ -380,6 +411,21 @@ mod tests {
         let x = 0.1f32;
         let s = to_string(&x).unwrap();
         assert_eq!(from_str::<f32>(&s).unwrap(), x);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        // `levels` array-in-object pairs around a scalar: 2 * levels deep.
+        let pairs =
+            |levels: usize| format!("{}0{}", "[{\"k\":".repeat(levels), "}]".repeat(levels));
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&pairs(MAX_DEPTH / 2)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        assert!(parse(&format!("[{}]", pairs(MAX_DEPTH / 2))).is_err());
+        // The body that used to overflow the stack and abort the process.
+        assert!(from_str::<u32>(&"[".repeat(400_000)).is_err());
     }
 
     #[test]
