@@ -16,6 +16,12 @@
 //! 3. **CRC-32 integrity** — the envelope carries a CRC over the canonical
 //!    payload rendering; a flipped bit surfaces as [`CkptError::Integrity`].
 //!
+//! On disk a checkpoint is the two-space-indented envelope
+//! `{"schema_version", "crc32", "checkpoint"}`. [`Checkpoint::save`]
+//! renders the compact payload once, hashes it, and streams the envelope
+//! by re-indenting that payload into a temp file that is then renamed over
+//! the target, so a failed save never destroys the previous checkpoint.
+//!
 //! Exactness: every `f32` in the payload widens losslessly to `f64`, the
 //! JSON writer emits the shortest round-trip rendering, and parsing
 //! narrows back to the original bits — so "the weights in the file" and
@@ -29,7 +35,9 @@ use hanayo_tensor::Stage;
 use hanayo_trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::Path;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 /// Version of the on-disk checkpoint format. Bump when the payload shape
 /// changes; loaders refuse anything they do not understand.
@@ -165,17 +173,21 @@ impl fmt::Display for CkptError {
 
 impl std::error::Error for CkptError {}
 
-/// The on-disk wrapper: schema version + CRC around the payload.
-#[derive(Serialize, Deserialize)]
+/// Capacity of the buffered writer [`Checkpoint::save`] streams through.
+const WRITE_BUFFER: usize = 64 << 10;
+
+/// The on-disk wrapper `{schema_version, crc32, checkpoint}` as a load
+/// reads it once [`Header`] has vetted the version. Writers never build
+/// it: [`write_envelope`] streams the same layout.
+#[derive(Deserialize)]
 struct Envelope {
-    schema_version: u32,
     crc32: u32,
     checkpoint: Checkpoint,
 }
 
-/// Version/CRC probe parsed *before* the payload, so an unknown schema is
-/// reported as such instead of as a missing-field parse error (extra
-/// fields are ignored by the value-tree deserializer).
+/// Version probe read from the parsed tree *before* the payload, so an
+/// unknown schema is reported as such instead of as a missing-field parse
+/// error (extra fields are ignored by the value-tree deserializer).
 #[derive(Deserialize)]
 struct Header {
     schema_version: u32,
@@ -190,29 +202,30 @@ impl Checkpoint {
         serde_json::to_string(self).map_err(|e| CkptError::Serialize(e.to_string()))
     }
 
-    /// Render the full envelope (pretty-printed; the CRC is computed over
-    /// the canonical compact payload, so formatting never affects it).
+    /// Render the full envelope in memory, byte for byte what
+    /// [`Checkpoint::save`] writes: the pretty-printed envelope whose CRC
+    /// covers the canonical compact payload (so formatting never affects
+    /// it).
     pub fn to_json(&self) -> Result<String, CkptError> {
-        let envelope = Envelope {
-            schema_version: SCHEMA_VERSION,
-            crc32: crc32(self.payload_json()?.as_bytes()),
-            checkpoint: self.clone(),
-        };
-        serde_json::to_string_pretty(&envelope).map_err(|e| CkptError::Serialize(e.to_string()))
+        let payload = self.payload_json()?;
+        let mut out = Vec::with_capacity(2 * payload.len());
+        write_envelope(&payload, &mut out).map_err(|e| CkptError::Serialize(e.to_string()))?;
+        String::from_utf8(out).map_err(|e| CkptError::Serialize(e.to_string()))
     }
 
     /// Parse an envelope, guarding schema version and payload integrity.
     pub fn from_json(text: &str) -> Result<Checkpoint, CkptError> {
-        let header: Header =
-            serde_json::from_str(text).map_err(|e| CkptError::Parse(e.to_string()))?;
+        let parse_error = |e: serde::Error| CkptError::Parse(e.to_string());
+        // One parse: the version probe and the envelope read the same tree.
+        let tree: serde_json::Value = serde_json::from_str(text).map_err(parse_error)?;
+        let header = Header::from_value(&tree).map_err(parse_error)?;
         if header.schema_version != SCHEMA_VERSION {
             return Err(CkptError::SchemaVersion {
                 found: header.schema_version,
                 supported: SCHEMA_VERSION,
             });
         }
-        let envelope: Envelope =
-            serde_json::from_str(text).map_err(|e| CkptError::Parse(e.to_string()))?;
+        let envelope: Envelope = serde_json::from_value(tree).map_err(parse_error)?;
         // Round-tripping is exact, so re-rendering the parsed payload
         // reproduces the canonical bytes the writer hashed; any value the
         // file lost or altered changes this CRC.
@@ -236,13 +249,22 @@ impl Checkpoint {
         Ok(envelope.checkpoint)
     }
 
-    /// Write the envelope to a file.
+    /// Write the envelope to a file, replacing it atomically: the bytes
+    /// stream into `<path>.tmp` beside it, which is then renamed over
+    /// `path`. On any error the temp file is removed and whatever `path`
+    /// held before is left as it was.
     pub fn save(&self, path: &Path) -> Result<(), CkptError> {
-        let json = self.to_json()?;
-        std::fs::write(path, &json).map_err(|e| CkptError::Io(format!("{path:?}: {e}")))?;
+        let payload = self.payload_json()?;
+        let tmp = tmp_path(path);
+        let written = write_file(&tmp, &payload)
+            .and_then(|bytes| std::fs::rename(&tmp, path).map(|()| bytes))
+            .map_err(|e| {
+                let _ = std::fs::remove_file(&tmp);
+                CkptError::Io(format!("{path:?}: {e}"))
+            })?;
         if hanayo_metrics::enabled() {
             hanayo_metrics::counter_add("hanayo_ckpt_writes_total", &[], 1);
-            hanayo_metrics::counter_add("hanayo_ckpt_bytes_written_total", &[], json.len() as u64);
+            hanayo_metrics::counter_add("hanayo_ckpt_bytes_written_total", &[], written);
         }
         Ok(())
     }
@@ -283,16 +305,188 @@ impl Checkpoint {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte string. Bitwise — no table —
-/// which is plenty for checkpoint-sized payloads.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// `path` with `.tmp` appended to its file name: the file a save streams
+/// into before renaming it over `path` (same directory, so the rename
+/// stays on one file system).
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
+/// Stream the envelope around `payload` into a new file at `path`;
+/// returns the bytes that reached the file.
+fn write_file(path: &Path, payload: &str) -> io::Result<u64> {
+    let file = Counted { inner: File::create(path)?, bytes: 0 };
+    let mut w = BufWriter::with_capacity(WRITE_BUFFER, file);
+    write_envelope(payload, &mut w)?;
+    let file = w.into_inner().map_err(io::IntoInnerError::into_error)?;
+    Ok(file.bytes)
+}
+
+/// A writer that counts the bytes its inner writer accepted.
+struct Counted<W> {
+    inner: W,
+    bytes: u64,
+}
+
+impl<W: Write> Write for Counted<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.bytes += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Write the pretty envelope around an already rendered compact payload:
+/// exactly the bytes `serde_json::to_string_pretty` renders for the
+/// object `{schema_version, crc32, checkpoint}`, without a second value
+/// tree and without holding the pretty text in memory.
+fn write_envelope(payload: &str, w: &mut impl Write) -> io::Result<()> {
+    write!(
+        w,
+        "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"crc32\": {},\n  \"checkpoint\": ",
+        crc32(payload.as_bytes())
+    )?;
+    write_indented(payload.as_bytes(), 1, w)?;
+    w.write_all(b"\n}")
+}
+
+/// Re-indent compact JSON the way the pretty writer lays a value out at
+/// `depth`: a newline and two spaces per level after `[`, `{` and `,`, a
+/// newline before `]` and `}`, a space after each key's `:`, while empty
+/// `[]` and `{}` stay inline. Strings, escapes included, are copied as
+/// they are. The compact writer puts no whitespace outside strings, so
+/// this is the whole difference between the two renderings.
+fn write_indented(compact: &[u8], mut depth: usize, w: &mut impl Write) -> io::Result<()> {
+    /// The bytes acted on outside strings; all others are copied in runs.
+    const STRUCTURAL: [bool; 256] = {
+        let mut t = [false; 256];
+        let mut k = 0;
+        while k < 7 {
+            t[b"\"[]{},:"[k] as usize] = true;
+            k += 1;
         }
+        t
+    };
+    // Start of the bytes not yet written.
+    let mut run = 0;
+    let mut i = 0;
+    while i < compact.len() {
+        let b = compact[i];
+        if !STRUCTURAL[b as usize] {
+            i += 1;
+            continue;
+        }
+        match b {
+            b'"' => {
+                i += 1;
+                while i < compact.len() && compact[i] != b'"' {
+                    i += if compact[i] == b'\\' { 2 } else { 1 };
+                }
+            }
+            b'[' | b'{' if matches!(compact.get(i + 1), Some(b']' | b'}')) => i += 1,
+            b'[' | b'{' => {
+                w.write_all(&compact[run..=i])?;
+                depth += 1;
+                newline_indent(w, depth)?;
+                run = i + 1;
+            }
+            b']' | b'}' => {
+                w.write_all(&compact[run..i])?;
+                depth = depth.saturating_sub(1);
+                newline_indent(w, depth)?;
+                run = i;
+            }
+            b',' => {
+                w.write_all(&compact[run..=i])?;
+                newline_indent(w, depth)?;
+                run = i + 1;
+            }
+            // The `:` after a key.
+            _ => {
+                w.write_all(&compact[run..=i])?;
+                w.write_all(b" ")?;
+                run = i + 1;
+            }
+        }
+        i += 1;
+    }
+    w.write_all(&compact[run..])
+}
+
+/// A newline followed by two spaces per level of `depth`.
+fn newline_indent(w: &mut impl Write, depth: usize) -> io::Result<()> {
+    const LINE: [u8; 65] = {
+        let mut line = [b' '; 65];
+        line[0] = b'\n';
+        line
+    };
+    let mut spaces = 2 * depth;
+    let head = spaces.min(LINE.len() - 1);
+    w.write_all(&LINE[..=head])?;
+    spaces -= head;
+    while spaces > 0 {
+        let chunk = spaces.min(LINE.len() - 1);
+        w.write_all(&LINE[1..=chunk])?;
+        spaces -= chunk;
+    }
+    Ok(())
+}
+
+/// Slice-by-8 lookup tables for [`crc32`]: `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table; `CRC_TABLES[k][b]` advances `CRC_TABLES[0][b]`
+/// through `k` further zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected) over a byte string, table-driven eight
+/// bytes at a time (slice-by-8), with a byte-at-a-time tail.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -357,7 +551,9 @@ mod tests {
     use super::*;
     use hanayo_core::config::{PipelineConfig, Scheme};
     use hanayo_core::schedule::build_schedule;
-    use hanayo_tensor::rng::seeded;
+    use hanayo_tensor::rng::{seeded, uniform};
+    use hanayo_trace::{TraceEvent, TraceKind};
+    use proptest::prelude::*;
 
     fn sample() -> Checkpoint {
         let cfg = PipelineConfig::new(2, 2, Scheme::Dapple).unwrap();
@@ -377,6 +573,176 @@ mod tests {
             plan_json: None,
             trace: None,
         }
+    }
+
+    /// The envelope as a value tree, for the rendering oracle below.
+    #[derive(Serialize)]
+    struct PrettyEnvelope {
+        schema_version: u32,
+        crc32: u32,
+        checkpoint: Checkpoint,
+    }
+
+    /// The reference rendering: the whole envelope built as a value and
+    /// pretty-printed by the JSON writer, its CRC taken bit by bit. Every
+    /// file ever written must keep matching it, or older checkpoints stop
+    /// loading.
+    fn pretty_oracle(c: &Checkpoint) -> String {
+        let envelope = PrettyEnvelope {
+            schema_version: SCHEMA_VERSION,
+            crc32: crc32_bitwise(c.payload_json().unwrap().as_bytes()),
+            checkpoint: c.clone(),
+        };
+        serde_json::to_string_pretty(&envelope).unwrap()
+    }
+
+    /// Reference CRC-32: one bit at a time, no table.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    /// `sample()` and one variant per rendering corner: Adam moments, a
+    /// trace, a plan string full of JSON punctuation and escapes, empty
+    /// vectors and non-finite losses.
+    fn rendering_cases() -> Vec<(&'static str, Checkpoint)> {
+        let mut adam = sample();
+        let mut stages = adam.stages.clone();
+        let mut states: Vec<Adam> = stages.iter().map(|s| Adam::new(s, 0.01)).collect();
+        for (stage, state) in stages.iter_mut().zip(&mut states) {
+            let x = uniform(&mut seeded(9), 3, 6, 1.0);
+            let (y, stash) = stage.forward(&x);
+            let (_, grads) = stage.backward(&stash, &y);
+            state.step(stage, &grads);
+        }
+        adam.stages = stages;
+        adam.optimizer = OptimizerState::Adam { states };
+
+        let mut traced = sample();
+        let event = |device, kind, mb, t_start, t_end| TraceEvent {
+            device,
+            kind,
+            mb,
+            stage: Some(device),
+            t_start,
+            t_end,
+        };
+        traced.trace = Some(Trace {
+            devices: 2,
+            events: vec![
+                event(0, TraceKind::Fwd, Some(0), 0.0, 0.25),
+                event(1, TraceKind::Bwd, Some(0), 0.5, 1.0 / 3.0 + 0.5),
+                event(1, TraceKind::Optim, None, 1.0, 1.5e-3 + 1.0),
+            ],
+        });
+
+        let mut plan = sample();
+        plan.plan_json =
+            Some("{\"a\":[1,{\"b\":\"x\\\"y\\\\z\"}],\"c\":\"\n:,[{\\\\\",\"\":[]}".to_string());
+
+        let mut empty = sample();
+        empty.losses.clear();
+        empty.peak_stash_bytes.clear();
+        empty.rng = None;
+
+        let mut non_finite = sample();
+        non_finite.losses = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-38];
+
+        vec![
+            ("sample", sample()),
+            ("adam", adam),
+            ("traced", traced),
+            ("plan_json", plan),
+            ("empty", empty),
+            ("non_finite", non_finite),
+        ]
+    }
+
+    /// A fresh directory under the system temp dir for one test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("hanayo_ckpt_{test}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn to_json_and_saved_bytes_equal_the_pretty_envelope() {
+        let dir = scratch_dir("identity");
+        for (name, c) in rendering_cases() {
+            let expected = pretty_oracle(&c);
+            assert_eq!(c.to_json().unwrap(), expected, "{name}: to_json");
+            let path = dir.join(format!("{name}.json"));
+            c.save(&path).unwrap();
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), expected, "{name}: save");
+            // And the file loads back to the same bytes (NaN != NaN, so
+            // compare renderings rather than values).
+            assert_eq!(Checkpoint::load(&path).unwrap().to_json().unwrap(), expected, "{name}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_rename_keeps_earlier_checkpoint_and_removes_the_temp_file() {
+        // The target is a non-empty directory holding an earlier
+        // checkpoint: the envelope streams into `<target>.tmp`, then the
+        // rename over the directory fails.
+        let dir = scratch_dir("rename");
+        let target = dir.join("checkpoint.json");
+        std::fs::create_dir(&target).unwrap();
+        let earlier = target.join("earlier.json");
+        let c = sample();
+        c.save(&earlier).unwrap();
+        let err = c.save(&target).unwrap_err();
+        assert!(matches!(err, CkptError::Io(_)), "{err:?}");
+        assert_eq!(Checkpoint::load(&earlier).unwrap(), c);
+        assert!(tmp_path(&target).symlink_metadata().is_err(), "temp file left behind");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_write_leaves_the_previous_file_byte_for_byte() {
+        // Writes to /dev/full fail with ENOSPC; pointing the temp file at
+        // it makes the save fail mid-stream, where an in-place write would
+        // already have truncated the previous checkpoint.
+        let full = Path::new("/dev/full");
+        if !full.exists() {
+            return;
+        }
+        let dir = scratch_dir("midwrite");
+        let path = dir.join("checkpoint.json");
+        sample().save(&path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        std::os::unix::fs::symlink(full, tmp_path(&path)).unwrap();
+        let mut newer = sample();
+        newer.iteration += 1;
+        let err = newer.save(&path).unwrap_err();
+        assert!(matches!(err, CkptError::Io(_)), "{err:?}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(Checkpoint::load(&path).unwrap(), sample());
+        assert!(tmp_path(&path).symlink_metadata().is_err(), "temp file left behind");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_replaces_an_existing_file() {
+        let dir = scratch_dir("replace");
+        let path = dir.join("checkpoint.json");
+        sample().save(&path).unwrap();
+        let mut newer = sample();
+        newer.iteration += 1;
+        newer.save(&path).unwrap();
+        assert_eq!(Checkpoint::load(&path).unwrap(), newer);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "only the checkpoint remains");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -474,6 +840,20 @@ mod tests {
         // The canonical IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest! {
+        #[test]
+        fn table_crc32_equals_the_bitwise_reference(
+            bytes in proptest::collection::vec(0u8..=255, 0..200),
+        ) {
+            // Dropping 0..=7 trailing bytes covers every length modulo 8.
+            for cut in 0..=bytes.len().min(7) {
+                let head = &bytes[..bytes.len() - cut];
+                prop_assert_eq!(crc32(head), crc32_bitwise(head));
+            }
+        }
     }
 
     #[test]

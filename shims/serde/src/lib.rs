@@ -114,6 +114,24 @@ pub trait Serialize {
 pub trait Deserialize: Sized {
     /// Deserialize from the value tree.
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Deserialize from an owned tree. Defaults to [`Self::from_value`];
+    /// [`Value`] itself overrides it to take the tree without a copy.
+    fn from_owned_value(v: Value) -> Result<Self, Error> {
+        Self::from_value(&v)
+    }
+}
+
+/// A parsed tree is its own deserialized form, so callers can parse once,
+/// inspect the tree and then deserialize typed values from it.
+impl Deserialize for Value {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Ok(v.clone())
+    }
+
+    fn from_owned_value(v: Value) -> Result<Self, Error> {
+        Ok(v)
+    }
 }
 
 /// Look up a required struct field in a serialized map.

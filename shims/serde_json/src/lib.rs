@@ -1,10 +1,14 @@
 //! Offline stand-in for `serde_json`: renders the `serde` shim's value
 //! tree as JSON text and parses it back. Covers `to_string`,
-//! `to_string_pretty` and `from_str`, which is the surface this workspace
-//! uses. Non-finite floats are emitted as bare `inf` / `-inf` / `NaN`
-//! tokens (invalid strict JSON, but round-trippable by this parser).
+//! `to_string_pretty`, `from_str` and `from_value`, which is the surface
+//! this workspace uses. Non-finite floats are emitted as bare `inf` /
+//! `-inf` / `NaN` tokens (invalid strict JSON, but round-trippable by this
+//! parser).
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize};
+use std::fmt::Write as _;
+
+pub use serde::Value;
 
 /// Serialize a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -20,9 +24,15 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// Deserialize a value from JSON text.
+/// Deserialize a value from JSON text. `from_str::<Value>` returns the
+/// parsed tree itself, for callers that inspect it before deserializing.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    T::from_value(&parse(s)?)
+    T::from_owned_value(parse(s)?)
+}
+
+/// Deserialize a value from an already parsed tree.
+pub fn from_value<T: Deserialize>(v: Value) -> Result<T, Error> {
+    T::from_owned_value(v)
 }
 
 /// How deeply arrays and objects may nest. The parser recurses once per
@@ -46,12 +56,18 @@ fn parse(s: &str) -> Result<Value, Error> {
 // Writer
 // ---------------------------------------------------------------------------
 
+// Numbers are formatted straight into `out`: writing to a `String`
+// cannot fail, so the `fmt::Result`s below are discarded.
 fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::U64(n) => out.push_str(&n.to_string()),
+        Value::I64(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::U64(n) => {
+            let _ = write!(out, "{n}");
+        }
         Value::F64(f) => {
             if f.is_nan() {
                 out.push_str("NaN");
@@ -59,7 +75,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
                 out.push_str(if *f > 0.0 { "inf" } else { "-inf" });
             } else {
                 // `{:?}` is Rust's shortest round-trip float rendering.
-                out.push_str(&format!("{f:?}"));
+                let _ = write!(out, "{f:?}");
             }
         }
         Value::Str(s) => write_string(out, s),
@@ -102,7 +118,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(w) = indent {
         out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
+        out.extend(std::iter::repeat_n(' ', w * depth));
     }
 }
 
@@ -115,7 +131,9 @@ fn write_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -383,6 +401,11 @@ mod tests {
     #[test]
     fn scalar_roundtrip() {
         assert_eq!(to_string(&42u32).unwrap(), "42");
+        assert_eq!(
+            to_string(&(u64::MAX, i64::MIN)).unwrap(),
+            format!("[{},{}]", u64::MAX, i64::MIN)
+        );
+        assert_eq!(to_string(&"\u{1}").unwrap(), "\"\\u0001\"");
         assert_eq!(from_str::<u32>("42").unwrap(), 42);
         assert_eq!(from_str::<i32>("-7").unwrap(), -7);
         assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
@@ -407,10 +430,22 @@ mod tests {
     }
 
     #[test]
+    fn parsed_tree_deserializes_through_from_value() {
+        let tree: Value = from_str(r#"{"v":[1,2],"x":null}"#).unwrap();
+        let v = tree.as_map().and_then(|m| m.first()).map(|(_, v)| v.clone()).unwrap();
+        assert_eq!(from_value::<Vec<u32>>(v).unwrap(), vec![1, 2]);
+        assert_eq!(from_value::<Value>(tree.clone()).unwrap(), tree);
+    }
+
+    #[test]
     fn float_shortest_roundtrip() {
         let x = 0.1f32;
         let s = to_string(&x).unwrap();
         assert_eq!(from_str::<f32>(&s).unwrap(), x);
+        // Floats render as `{:?}`, Rust's shortest round-trip form.
+        let floats = [0.1f64, -0.0, 1e-7, 1.5e300, x as f64];
+        let debug: Vec<String> = floats.iter().map(|f| format!("{f:?}")).collect();
+        assert_eq!(to_string(&floats.to_vec()).unwrap(), format!("[{}]", debug.join(",")));
     }
 
     #[test]
